@@ -90,12 +90,10 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	}
 
 	fmt.Printf("\n=== Fig. 7: δ vs k, %s vs random deployment ===\n", strings.ToUpper(strat))
-	// The δ-versus-k sweep rides the scenario-sweep engine: a single-field,
-	// single-rc, fault-free grid over the paper's k values. The engine's
-	// cell runner mirrors eval.DeltaVsK's per-k computation, so the rows —
-	// and therefore this table — are bit-identical to the old direct loop,
-	// but the cells now shard across the worker pool, checkpoint, and show
-	// up in the sweep metrics.
+	// The δ-versus-k sweep rides the scenario-sweep engine, the only Fig. 7
+	// executor: a single-field, single-rc, fault-free grid over the
+	// paper's k values, sharded across its worker pool and counted in the
+	// sweep metrics.
 	kSpec := sweep.Spec{
 		Name:        "fig7",
 		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
@@ -111,7 +109,11 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	if err != nil {
 		return err
 	}
-	if err := eval.WriteDeltaVsKTable(os.Stdout, sweep.DeltaVsKRows(kRep)); err != nil {
+	kRows, err := sweep.DeltaVsKRows(kRep)
+	if err != nil {
+		return err
+	}
+	if err := eval.WriteDeltaVsKTable(os.Stdout, kRows); err != nil {
 		return err
 	}
 
@@ -159,8 +161,7 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	}
 
 	fmt.Println("\n=== Extension: collection cost & robustness of FRA networks ===")
-	nOpts := eval.DeltaVsKOptions{Rc: 10, GridN: gridN, DeltaN: deltaN, RandomDraws: 5, Seed: 1}
-	nRows, err := eval.NetworkVsK(ref, []int{50, 100, 150}, nOpts)
+	nRows, err := eval.NetworkVsK(ref, []int{50, 100, 150}, 10, gridN, deltaN)
 	if err != nil {
 		return err
 	}

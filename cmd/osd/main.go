@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/strategy"
 	"repro/internal/surface"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -49,16 +51,16 @@ func main() {
 	log.SetPrefix("osd: ")
 
 	var (
-		k      = flag.Int("k", 100, "number of CPS nodes for a single placement")
-		sweep  = flag.String("sweep", "", "δ-vs-k sweep as min:max:step (Fig. 7)")
-		rc     = flag.Float64("rc", 10, "communication radius Rc in meters")
-		gridN  = flag.Int("grid", 100, "local-error lattice divisions per side")
-		deltaN = flag.Int("delta-grid", 100, "δ integration lattice divisions")
-		draws  = flag.Int("draws", 5, "random deployments averaged per k")
-		seed   = flag.Int64("seed", 1, "random baseline seed")
-		csv    = flag.Bool("csv", false, "emit CSV instead of a text table")
-		quiet  = flag.Bool("quiet", false, "suppress surface renders")
-		strat  = flag.String("strategy", "fra",
+		k        = flag.Int("k", 100, "number of CPS nodes for a single placement")
+		sweepArg = flag.String("sweep", "", "δ-vs-k sweep as min:max:step (Fig. 7)")
+		rc       = flag.Float64("rc", 10, "communication radius Rc in meters")
+		gridN    = flag.Int("grid", 100, "local-error lattice divisions per side")
+		deltaN   = flag.Int("delta-grid", 100, "δ integration lattice divisions")
+		draws    = flag.Int("draws", 5, "random deployments averaged per k")
+		seed     = flag.Int64("seed", 1, "random baseline seed")
+		csv      = flag.Bool("csv", false, "emit CSV instead of a text table")
+		quiet    = flag.Bool("quiet", false, "suppress surface renders")
+		strat    = flag.String("strategy", "fra",
 			"placement strategy ("+strings.Join(strategy.PlacementNames(), ", ")+")")
 	)
 	reg := obs.NewRegistry()
@@ -74,35 +76,23 @@ func main() {
 		fatalf("bad -strategy: %v", err)
 	}
 
-	forest := field.NewForest(field.DefaultForestConfig())
-	ref := forest.Reference()
-
-	if *sweep != "" {
-		ks, err := parseSweep(*sweep)
+	if *sweepArg != "" {
+		ks, err := parseSweep(*sweepArg)
 		if err != nil {
 			fatalf("bad -sweep: %v", err)
 		}
-		opts := eval.DeltaVsKOptions{
-			Rc: *rc, GridN: *gridN, DeltaN: *deltaN,
-			RandomDraws: *draws, Seed: *seed, Metrics: reg,
-			Strategy: *strat,
-		}
-		rows, err := eval.DeltaVsK(ref, ks, opts)
+		spec, err := fig7Spec(ks, *rc, *gridN, *deltaN, *draws, *seed, *strat)
 		if err != nil {
 			fatal(err)
 		}
-		if *csv {
-			err = eval.WriteDeltaVsKCSV(os.Stdout, rows)
-		} else {
-			err = eval.WriteDeltaVsKTable(os.Stdout, rows)
-		}
-		if err != nil {
+		if err := writeSweep(os.Stdout, spec, *csv, reg); err != nil {
 			fatal(err)
 		}
 		closeRun()
 		return
 	}
 
+	ref := field.NewForest(field.DefaultForestConfig()).Reference()
 	p, err := placer.Place(ref, strategy.PlaceOptions{
 		K: *k, Rc: *rc, GridN: *gridN, Seed: *seed, Metrics: reg,
 	})
@@ -146,6 +136,45 @@ func main() {
 		fatal(err)
 	}
 	closeRun()
+}
+
+// fig7Spec is the grid behind -sweep: the default forest at one radius,
+// the named placement strategy over ks, with draws random deployments
+// averaged per k as the baseline. The sweep reads a zero lattice as its
+// default of 50 and zero draws as "no baseline", so zeros are rejected
+// here rather than swept silently.
+func fig7Spec(ks []int, rc float64, gridN, deltaN, draws int, seed int64, strat string) (sweep.Spec, error) {
+	if draws < 1 || gridN < 1 || deltaN < 1 {
+		return sweep.Spec{}, fmt.Errorf("bad -draws %d, -grid %d or -delta-grid %d: each must be at least 1", draws, gridN, deltaN)
+	}
+	return sweep.Spec{
+		Name:        "fig7",
+		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+		Ks:          ks,
+		Rcs:         []float64{rc},
+		Strategies:  []string{strat},
+		Seeds:       []int64{seed},
+		GridN:       gridN,
+		DeltaN:      deltaN,
+		RandomDraws: draws,
+	}, nil
+}
+
+// writeSweep runs spec through the sweep engine and writes its δ-versus-k
+// rows to w as CSV or as a text table.
+func writeSweep(w io.Writer, spec sweep.Spec, csv bool, reg *obs.Registry) error {
+	rep, err := sweep.Run(spec, sweep.RunOptions{Metrics: reg})
+	if err != nil {
+		return err
+	}
+	rows, err := sweep.DeltaVsKRows(rep)
+	if err != nil {
+		return err
+	}
+	if csv {
+		return eval.WriteDeltaVsKCSV(w, rows)
+	}
+	return eval.WriteDeltaVsKTable(w, rows)
 }
 
 func parseSweep(s string) ([]int, error) {

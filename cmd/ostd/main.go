@@ -98,7 +98,7 @@ func main() {
 		if err != nil {
 			fatalf("bad -fault-sweep: %v", err)
 		}
-		rows, err := eval.DegradationSweepStrategy(forest, *k, *slots, *deltaN, rates, *faultSeed, *strat)
+		rows, err := eval.DegradationSweep(forest, *k, *slots, *deltaN, rates, *faultSeed, *strat)
 		if err != nil {
 			fatal(err)
 		}

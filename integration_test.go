@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // Integration tests exercising whole experiment pipelines end to end at
@@ -12,12 +14,19 @@ import (
 // FRA beats random deployment by a growing margin in the operating range,
 // and both curves decrease with k.
 func TestIntegrationFig7Shape(t *testing.T) {
-	ref := NewForest(DefaultForestConfig()).Reference()
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = 40
-	opts.DeltaN = 40
-	opts.RandomDraws = 3
-	rows, err := DeltaVsK(ref, []int{50, 100, 150}, opts)
+	rep, err := sweep.Run(sweep.Spec{
+		Name:        "fig7",
+		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+		Ks:          []int{50, 100, 150},
+		Rcs:         []float64{10},
+		GridN:       40,
+		DeltaN:      40,
+		RandomDraws: 3,
+	}, sweep.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sweep.DeltaVsKRows(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

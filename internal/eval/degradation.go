@@ -61,23 +61,16 @@ type DegradationRow struct {
 const ConvergenceEps = 0.1
 
 // DegradationSweep measures graceful degradation: for each failure rate it
-// runs the CMA swarm under fault.Profile(rate, slots, seed) — node crashes,
+// runs the swarm under fault.Profile(rate, slots, seed) — node crashes,
 // bursty link loss and sensing faults all scaled by the one knob — while a
 // collection tree is maintained over the survivors by local repair where
-// possible and rebuild where not. Rate 0 runs the exact fault-free
-// dynamics, so the first row of a sweep starting at 0 doubles as the
-// baseline. Rates above 0 enable the robust (Huber) curvature fit, the
-// degraded-mode backend that keeps outlier samples from hijacking forces.
-func DegradationSweep(dyn field.DynField, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
-	return DegradationSweepStrategy(dyn, k, slots, deltaN, rates, seed, "cma")
-}
-
-// DegradationSweepStrategy is DegradationSweep with the movement strategy
-// made explicit: movement names a registered strategy whose controllers
-// drive the engine's Plan stage in place of CMA. "cma" reproduces
-// DegradationSweep exactly (bit-identical — the registry adds dispatch,
-// not dynamics).
-func DegradationSweepStrategy(dyn field.DynField, k, slots, deltaN int, rates []float64, seed int64, movement string) ([]DegradationRow, error) {
+// possible and rebuild where not. movement names a registered movement
+// strategy whose controllers drive the engine's Plan stage; "" means
+// "cma". Rate 0 runs the exact fault-free dynamics, so the first row of a
+// sweep starting at 0 doubles as the baseline. Rates above 0 enable the
+// robust (Huber) curvature fit, the degraded-mode backend that keeps
+// outlier samples from hijacking forces.
+func DegradationSweep(dyn field.DynField, k, slots, deltaN int, rates []float64, seed int64, movement string) ([]DegradationRow, error) {
 	if k < 1 || slots < 1 || deltaN < 1 || len(rates) == 0 {
 		return nil, fmt.Errorf("%w: k=%d slots=%d deltaN=%d rates=%v", ErrBadParams, k, slots, deltaN, rates)
 	}
@@ -113,7 +106,7 @@ func DegradationSweepStrategy(dyn field.DynField, k, slots, deltaN int, rates []
 // maintaining a collection tree over the survivors (local repair where
 // possible, rebuild where not) and accumulating the row's metrics —
 // including the convergence time of the swarm's mean displacement. It is
-// the single-cell unit under DegradationSweep, exported so scenario
+// the single-rate unit under DegradationSweep, exported so scenario
 // harnesses (internal/sweep) can run one fault profile per cell without
 // re-running the whole rate grid. Link checks use the world's own Rc.
 func RunDegradation(w *sim.World, slots, deltaN int) (DegradationRow, error) {

@@ -11,7 +11,7 @@ import (
 
 func TestDegradationSweepFaultRows(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
-	rows, err := DegradationSweep(forest, 100, 6, 25, []float64{0, 0.3}, 7)
+	rows, err := DegradationSweep(forest, 100, 6, 25, []float64{0, 0.3}, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestDegradationSweepFaultRows(t *testing.T) {
 
 func TestDegradationSweepDeterministic(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
-	r1, err := DegradationSweep(forest, 36, 5, 20, []float64{0.2}, 11)
+	r1, err := DegradationSweep(forest, 36, 5, 20, []float64{0.2}, 11, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DegradationSweep(forest, 36, 5, 20, []float64{0.2}, 11)
+	r2, err := DegradationSweep(forest, 36, 5, 20, []float64{0.2}, 11, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestDegradationSweepDeterministic(t *testing.T) {
 
 func TestDegradationSweepBadParams(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
-	if _, err := DegradationSweep(forest, 0, 5, 20, []float64{0}, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := DegradationSweep(forest, 0, 5, 20, []float64{0}, 1, ""); !errors.Is(err, ErrBadParams) {
 		t.Errorf("k=0: want ErrBadParams, got %v", err)
 	}
-	if _, err := DegradationSweep(forest, 9, 5, 20, nil, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := DegradationSweep(forest, 9, 5, 20, nil, 1, ""); !errors.Is(err, ErrBadParams) {
 		t.Errorf("no rates: want ErrBadParams, got %v", err)
 	}
 }

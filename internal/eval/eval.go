@@ -1,41 +1,38 @@
 // Package eval is the experiment harness: it regenerates the data series
-// behind every figure of the paper's evaluation (Section 6) — δ versus k
-// for FRA against random deployment (Fig. 7), δ versus time for CMA
+// behind the paper's evaluation (Section 6) — δ versus time for CMA
 // (Fig. 10), the uniform-versus-CWD comparison (Fig. 3) and the per-run
 // surface snapshots (Figs. 5, 6, 8, 9) — and formats them as text tables
-// and CSV.
+// and CSV. The δ-versus-k series (Fig. 7) is computed by internal/sweep
+// and rendered here.
 package eval
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/field"
-	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/strategy"
 )
 
 // ErrBadParams is returned for invalid sweep parameters.
 var ErrBadParams = errors.New("eval: invalid parameters")
 
-// DeltaVsKRow is one point of the Fig. 7 sweep.
+// DeltaVsKRow is one point of the Fig. 7 sweep. The sweep itself runs on
+// internal/sweep (sweep.Run over a single-field spec, projected by
+// sweep.DeltaVsKRows); this package only renders the rows.
 type DeltaVsKRow struct {
 	// K is the node count.
 	K int
 	// FRA is δ for the placement under test. The field keeps its
-	// historical name for compatibility; when DeltaVsKOptions.Strategy
-	// names a different placement, this is that strategy's δ.
+	// historical name for compatibility; when the sweep's strategy is not
+	// FRA, this is that strategy's δ.
 	FRA float64
-	// Random is δ for random deployment, averaged over RandomDraws.
+	// Random is δ for random deployment, averaged over the sweep's
+	// random draws.
 	Random float64
 	// Refined and Relays break down the placement (strategy-specific
 	// bookkeeping: FRA's refinement moves and relay insertions, Lloyd's
@@ -43,160 +40,6 @@ type DeltaVsKRow struct {
 	Refined, Relays int
 	// Connected reports whether the placement is connected at Rc.
 	Connected bool
-}
-
-// DeltaVsKOptions configures the Fig. 7 sweep.
-type DeltaVsKOptions struct {
-	// Rc is the communication radius (paper: 10).
-	Rc float64
-	// GridN is the FRA local-error lattice resolution (paper: the
-	// one-meter √A lattice, 100).
-	GridN int
-	// DeltaN is the δ integration lattice resolution.
-	DeltaN int
-	// RandomDraws is how many random deployments are averaged per k.
-	RandomDraws int
-	// Seed drives the random baseline.
-	Seed int64
-	// Workers bounds the sweep's worker pool; 0 uses runtime.NumCPU().
-	// Every (k, draw) cell is seeded independently and collected by
-	// index, so the output is bit-identical for any worker count.
-	Workers int
-	// Metrics, when non-nil, is handed to every FRA run in the sweep (the
-	// obs metric mutators are atomic, so the parallel pool shares one
-	// registry safely). Sweep outputs are bit-identical either way.
-	Metrics *obs.Registry
-	// Strategy names the placement under test, resolved from the strategy
-	// registry; empty means "fra". Routing "fra" through the registry is
-	// bit-identical to the direct core.FRA call this sweep used to make.
-	Strategy string
-}
-
-// DefaultDeltaVsKOptions returns the paper's Fig. 7 setting.
-func DefaultDeltaVsKOptions() DeltaVsKOptions {
-	return DeltaVsKOptions{Rc: 10, GridN: 100, DeltaN: 100, RandomDraws: 5, Seed: 1}
-}
-
-// DeltaVsK runs the named placement strategy (default FRA) and the random
-// baseline for each k and reports δ — the data series of Fig. 7. The
-// sweep fans out over a bounded worker pool: every placement run and
-// every random draw is an independent task with a fixed seed, and results
-// are written into index-addressed slots, so the rows are bit-identical
-// to a serial sweep regardless of worker count or GOMAXPROCS.
-func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("%w: no k values", ErrBadParams)
-	}
-	if opts.RandomDraws < 1 {
-		opts.RandomDraws = 1
-	}
-	if opts.Strategy == "" {
-		opts.Strategy = "fra"
-	}
-	placer, err := strategy.LookupPlacement(opts.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("eval: %w", err)
-	}
-	// The random baselines reuse FRA's reconstruction anchors (the region
-	// corners) for fairness; they are a fixed property of the region, so
-	// the random tasks need not wait for the FRA tasks.
-	corners := f.Bounds().Corners()
-	anchors := append([]geom.Vec2(nil), corners[:]...)
-
-	rows := make([]DeltaVsKRow, len(ks))
-	randDelta := make([][]float64, len(ks))
-	for i := range randDelta {
-		randDelta[i] = make([]float64, opts.RandomDraws)
-	}
-	tasks := make([]func() error, 0, len(ks)*(1+opts.RandomDraws))
-	for i, k := range ks {
-		i, k := i, k
-		tasks = append(tasks, func() error {
-			p, err := placer.Place(f, strategy.PlaceOptions{
-				K: k, Rc: opts.Rc, GridN: opts.GridN, Seed: opts.Seed, Metrics: opts.Metrics,
-			})
-			if err != nil {
-				return fmt.Errorf("eval: %s k=%d: %w", opts.Strategy, k, err)
-			}
-			ev, err := core.Evaluate(f, p, opts.Rc, opts.DeltaN)
-			if err != nil {
-				return fmt.Errorf("eval: evaluate %s k=%d: %w", opts.Strategy, k, err)
-			}
-			rows[i] = DeltaVsKRow{
-				K:         k,
-				FRA:       ev.Delta,
-				Refined:   p.Refined,
-				Relays:    p.Relays,
-				Connected: ev.Connected,
-			}
-			return nil
-		})
-		for d := 0; d < opts.RandomDraws; d++ {
-			d := d
-			tasks = append(tasks, func() error {
-				r := core.RandomPlacement(f.Bounds(), k, opts.Seed+int64(d))
-				r.Anchors = anchors
-				rev, err := core.Evaluate(f, r, opts.Rc, opts.DeltaN)
-				if err != nil {
-					return fmt.Errorf("eval: evaluate random k=%d: %w", k, err)
-				}
-				randDelta[i][d] = rev.Delta
-				return nil
-			})
-		}
-	}
-	if err := runTasks(tasks, opts.Workers); err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		sum := 0.0
-		for _, d := range randDelta[i] {
-			sum += d
-		}
-		rows[i].Random = sum / float64(opts.RandomDraws)
-	}
-	return rows, nil
-}
-
-// runTasks drains the task list with up to workers goroutines (0 =
-// runtime.NumCPU()) and returns the error of the lowest-indexed failed
-// task, keeping error reporting deterministic under concurrency.
-func runTasks(tasks []func() error, workers int) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	errs := make([]error, len(tasks))
-	if workers <= 1 {
-		for i, t := range tasks {
-			errs[i] = t()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					errs[i] = tasks[i]()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DeltaVsTimeRow is one point of the Fig. 10 series.

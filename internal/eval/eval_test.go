@@ -16,42 +16,6 @@ func refField() field.Field {
 	return field.NewForest(field.DefaultForestConfig()).Reference()
 }
 
-func TestDeltaVsKErrors(t *testing.T) {
-	if _, err := DeltaVsK(refField(), nil, DefaultDeltaVsKOptions()); !errors.Is(err, ErrBadParams) {
-		t.Errorf("want ErrBadParams, got %v", err)
-	}
-}
-
-func TestDeltaVsKSweep(t *testing.T) {
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = 25
-	opts.DeltaN = 25
-	opts.RandomDraws = 2
-	rows, err := DeltaVsK(refField(), []int{10, 40, 80}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// δ decreases (weakly, within tolerance) with k for both curves.
-	if rows[2].FRA > rows[0].FRA*1.1 {
-		t.Errorf("FRA δ grew with k: %v -> %v", rows[0].FRA, rows[2].FRA)
-	}
-	if rows[2].Random > rows[0].Random*1.1 {
-		t.Errorf("random δ grew with k: %v -> %v", rows[0].Random, rows[2].Random)
-	}
-	// FRA beats random at moderate k — the Fig. 7 headline.
-	if rows[1].FRA >= rows[1].Random {
-		t.Errorf("k=40: FRA %v not below random %v", rows[1].FRA, rows[1].Random)
-	}
-	for _, r := range rows {
-		if r.Refined+r.Relays != r.K {
-			t.Errorf("k=%d: refined+relays = %d", r.K, r.Refined+r.Relays)
-		}
-	}
-}
-
 func TestDeltaVsTime(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
 	w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 64), sim.DefaultOptions())
@@ -111,6 +75,12 @@ func TestConvergenceTime(t *testing.T) {
 	}
 	if _, ok := ConvergenceTime(nil, 0.1); ok {
 		t.Error("empty series reported converged")
+	}
+}
+
+func TestConvergenceTimeEmpty(t *testing.T) {
+	if tm, ok := ConvergenceTime(nil, 0.5); ok || tm != 0 {
+		t.Errorf("ConvergenceTime(nil) = (%v,%v), want (0,false)", tm, ok)
 	}
 }
 

@@ -35,27 +35,26 @@ type NetworkRow struct {
 	Biconnected bool
 }
 
-// NetworkVsK runs FRA for each k, then measures the collection cost (from
-// the energy-optimal sink) and the robustness of the resulting network.
-// Placements whose network is disconnected (tiny k) are skipped.
-func NetworkVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]NetworkRow, error) {
+// NetworkVsK runs FRA for each k at communication radius rc (gridN is the
+// local-error lattice, deltaN the δ lattice), then measures the collection
+// cost (from the energy-optimal sink) and the robustness of the resulting
+// network. Placements whose network is disconnected (tiny k) are skipped.
+func NetworkVsK(f field.Field, ks []int, rc float64, gridN, deltaN int) ([]NetworkRow, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: no k values", ErrBadParams)
 	}
 	var rows []NetworkRow
 	for _, k := range ks {
-		p, err := core.FRA(f, core.FRAOptions{
-			K: k, Rc: opts.Rc, GridN: opts.GridN, AnchorCorners: true, Metrics: opts.Metrics,
-		})
+		p, err := core.FRA(f, core.FRAOptions{K: k, Rc: rc, GridN: gridN, AnchorCorners: true})
 		if err != nil {
 			return nil, fmt.Errorf("eval: FRA k=%d: %w", k, err)
 		}
-		ev, err := core.Evaluate(f, p, opts.Rc, opts.DeltaN)
+		ev, err := core.Evaluate(f, p, rc, deltaN)
 		if err != nil {
 			return nil, fmt.Errorf("eval: evaluate k=%d: %w", k, err)
 		}
 		row := NetworkRow{K: k, Delta: ev.Delta, Relays: p.Relays}
-		g := graph.NewUnitDisk(p.Nodes, opts.Rc)
+		g := graph.NewUnitDisk(p.Nodes, rc)
 		if !g.Connected() {
 			continue
 		}

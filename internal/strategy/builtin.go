@@ -41,7 +41,7 @@ func init() {
 }
 
 // placeFRA is the paper's Foresighted Refinement Algorithm, exactly as
-// eval.DeltaVsK and the sweep's static phase invoke it (corner-anchored
+// the sweep's static phase (the Fig. 7 executor) invokes it (corner-anchored
 // reconstruction, metrics passthrough). The Seed is ignored: FRA is
 // deterministic.
 func placeFRA(f field.Field, o PlaceOptions) (core.Placement, error) {

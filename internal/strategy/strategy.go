@@ -205,7 +205,7 @@ func validatePlace(o PlaceOptions) error {
 }
 
 // cornerAnchors returns the region corners as reconstruction anchors —
-// the same fairness convention eval.DeltaVsK applies to the random
+// the same fairness convention sweep.RunCell applies to the random
 // baseline, so every strategy's δ is integrated over a reconstruction
 // that covers the whole region.
 func cornerAnchors(region geom.Rect) []geom.Vec2 {

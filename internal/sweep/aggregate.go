@@ -101,12 +101,20 @@ func WriteTable(w io.Writer, rep *Report) error {
 }
 
 // DeltaVsKRows projects a report onto the Fig. 7 series: one row per
-// cell, in cell order. It is how cmd/evalall's δ-versus-k sweep rides the
-// sweep engine — a single-field, single-rc, fault-free spec over the
-// paper's k grid reproduces eval.DeltaVsK's rows bit for bit.
-func DeltaVsKRows(rep *Report) []eval.DeltaVsKRow {
+// cell, in cell order. A single-field, single-rc, fault-free spec over
+// the paper's k grid is how cmd/evalall, cmd/osd -sweep and the Fig. 7
+// benchmark compute δ versus k — sweep.Run is the only Fig. 7 executor.
+// A failed cell or an incomplete report is an error: a row of zeros would
+// read as data.
+func DeltaVsKRows(rep *Report) ([]eval.DeltaVsKRow, error) {
+	if len(rep.Cells) != rep.Total {
+		return nil, fmt.Errorf("sweep: report %q has %d of %d cells", rep.Name, len(rep.Cells), rep.Total)
+	}
 	rows := make([]eval.DeltaVsKRow, 0, len(rep.Cells))
 	for _, r := range rep.Cells {
+		if r.Err != "" {
+			return nil, fmt.Errorf("sweep: cell %d (k=%d): %s", r.Index, r.K, r.Err)
+		}
 		rows = append(rows, eval.DeltaVsKRow{
 			K:         r.K,
 			FRA:       r.Delta,
@@ -116,5 +124,5 @@ func DeltaVsKRows(rep *Report) []eval.DeltaVsKRow {
 			Connected: r.Connected,
 		})
 	}
-	return rows
+	return rows, nil
 }

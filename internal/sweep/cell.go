@@ -169,8 +169,8 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 }
 
 // runMobileCell runs the cell's movement swarm for Spec.Slots slots under
-// the cell's fault profile, mirroring eval.DegradationSweep's per-rate
-// setup: grid initial layout, robust curvature fits whenever faults are
+// the cell's fault profile, with the per-rate setup eval.DegradationSweep
+// also uses: grid initial layout, robust curvature fits whenever faults are
 // active, and a collection tree maintained over the survivors. The
 // controllers come from the cell strategy's movement phase — CMA for
 // strategies without one of their own.

@@ -118,7 +118,7 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 		logw = io.Discard
 	}
 	cells := spec.Cells()
-	rep := &Report{Name: spec.Name, Total: len(cells)}
+	var resumed int
 
 	var prior map[string]Result
 	if opts.Checkpoint != "" && opts.Resume {
@@ -153,15 +153,15 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 			r.Index = i
 			results[i] = r
 			done[i] = true
-			rep.Resumed++
+			resumed++
 			met.resumed.Inc()
 			continue
 		}
 		pending = append(pending, i)
 	}
-	if opts.MaxCells > 0 && opts.MaxCells < len(pending) {
+	capped := opts.MaxCells > 0 && opts.MaxCells < len(pending)
+	if capped {
 		pending = pending[:opts.MaxCells]
-		rep.Interrupted = true
 	}
 
 	var ckpt *CheckpointWriter
@@ -265,19 +265,10 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 			return nil, fmt.Errorf("sweep: close checkpoint: %w", err)
 		}
 	}
-	if stopped.Load() {
-		rep.Interrupted = true
-	}
-	for i := range results {
-		if !done[i] {
-			continue
-		}
-		rep.Cells = append(rep.Cells, results[i])
-		if results[i].Err != "" {
-			rep.Failed++
-		}
-	}
-	rep.Computed = len(rep.Cells) - rep.Resumed
+	rep := NewReport(&spec, results, done)
+	rep.Resumed = resumed
+	rep.Computed = len(rep.Cells) - resumed
+	rep.Interrupted = capped || stopped.Load()
 	return rep, nil
 }
 

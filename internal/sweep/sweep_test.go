@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -55,37 +56,101 @@ func renderJSON(t *testing.T, rep *Report) []byte {
 }
 
 // TestWorkersBitIdentical is the sharding determinism contract: a
-// 100-cell spec aggregated under 8 workers is byte-identical to the
-// serial run.
+// 100-cell spec aggregated under any worker count and any GOMAXPROCS is
+// byte-identical to the serial run.
 func TestWorkersBitIdentical(t *testing.T) {
 	spec := hundredCellSpec()
 	if n := spec.NumCells(); n != 100 {
 		t.Fatalf("grid has %d cells, want 100", n)
 	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	runtime.GOMAXPROCS(1)
 	serial, err := Run(spec, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	parallel, err := Run(spec, RunOptions{Workers: 8})
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	a, b := renderJSON(t, serial), renderJSON(t, parallel)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("workers=8 output differs from workers=1:\n%s\nvs\n%s", b, a)
-	}
-	var csvA, csvB bytes.Buffer
-	if err := WriteCSV(&csvA, serial); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if err := WriteCSV(&csvB, parallel); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if !bytes.Equal(csvA.Bytes(), csvB.Bytes()) {
-		t.Fatal("CSV output differs between worker counts")
-	}
 	if serial.Failed != 0 || serial.Computed != 100 {
 		t.Fatalf("serial report: %+v", serial)
+	}
+	wantJSON := renderJSON(t, serial)
+	var wantCSV bytes.Buffer
+	if err := WriteCSV(&wantCSV, serial); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	for _, v := range []struct{ procs, workers int }{{8, 1}, {1, 8}, {8, 8}, {8, 0}} {
+		runtime.GOMAXPROCS(v.procs)
+		rep, err := Run(spec, RunOptions{Workers: v.workers})
+		if err != nil {
+			t.Fatalf("procs=%d workers=%d: %v", v.procs, v.workers, err)
+		}
+		if got := renderJSON(t, rep); !bytes.Equal(got, wantJSON) {
+			t.Fatalf("procs=%d workers=%d output differs from serial:\n%s\nvs\n%s", v.procs, v.workers, got, wantJSON)
+		}
+		var csv bytes.Buffer
+		if err := WriteCSV(&csv, rep); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		if !bytes.Equal(csv.Bytes(), wantCSV.Bytes()) {
+			t.Fatalf("procs=%d workers=%d: CSV output differs from serial", v.procs, v.workers)
+		}
+	}
+}
+
+// TestFig7Rows is the Fig. 7 headline on the forest at reduced
+// resolution, through the same spec shape cmd/osd -sweep and cmd/evalall
+// run: FRA spends exactly k nodes on refinement plus relays, beats random
+// deployment at k = 40, and both curves fall with k.
+func TestFig7Rows(t *testing.T) {
+	rep, err := Run(Spec{
+		Name:        "fig7",
+		Fields:      []FieldSpec{{Kind: "forest"}},
+		Ks:          []int{10, 40, 80},
+		Rcs:         []float64{10},
+		GridN:       25,
+		DeltaN:      25,
+		RandomDraws: 2,
+	}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := DeltaVsKRows(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.Refined+r.Relays != r.K {
+			t.Errorf("k=%d: refined+relays = %d", r.K, r.Refined+r.Relays)
+		}
+	}
+	if rows[1].FRA >= rows[1].Random {
+		t.Errorf("k=40: FRA %v not below random %v", rows[1].FRA, rows[1].Random)
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i].FRA >= rows[i-1].FRA || rows[i].Random >= rows[i-1].Random {
+			t.Errorf("δ not decreasing from k=%d to k=%d: FRA %v -> %v, random %v -> %v",
+				rows[i-1].K, rows[i].K, rows[i-1].FRA, rows[i].FRA, rows[i-1].Random, rows[i].Random)
+		}
+	}
+}
+
+// TestDeltaVsKRowsFailsLoudly: a failed cell or an incomplete report must
+// not project to rows of zeros that print as data.
+func TestDeltaVsKRowsFailsLoudly(t *testing.T) {
+	ok := Result{Index: 0, K: 10, Delta: 5, DeltaRandom: 7, Refined: 6, Relays: 4, Connected: true}
+	bad := Result{Index: 1, K: 20, Err: "fra: boom"}
+	rows, err := DeltaVsKRows(&Report{Name: "x", Total: 1, Cells: []Result{ok}})
+	if err != nil || len(rows) != 1 || rows[0].FRA != 5 || rows[0].Random != 7 || rows[0].Refined+rows[0].Relays != 10 {
+		t.Fatalf("good report: rows=%+v err=%v", rows, err)
+	}
+	if _, err := DeltaVsKRows(&Report{Name: "x", Total: 2, Failed: 1, Cells: []Result{ok, bad}}); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("failed cell: err = %v", err)
+	}
+	if _, err := DeltaVsKRows(&Report{Name: "x", Total: 2, Cells: []Result{ok}}); err == nil {
+		t.Error("incomplete report accepted")
 	}
 }
 
@@ -336,6 +401,7 @@ func TestSpecValidation(t *testing.T) {
 		json string
 	}{
 		{"empty grid", `{"name":"x","fields":[],"ks":[1],"rcs":[10]}`},
+		{"no k", `{"fields":[{"kind":"peaks"}],"ks":[],"rcs":[10]}`},
 		{"bad k", `{"fields":[{"kind":"peaks"}],"ks":[0],"rcs":[10]}`},
 		{"bad rc", `{"fields":[{"kind":"peaks"}],"ks":[5],"rcs":[-1]}`},
 		{"bad kind", `{"fields":[{"kind":"lava"}],"ks":[5],"rcs":[10]}`},

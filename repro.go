@@ -100,10 +100,6 @@ type (
 
 // Experiment harness API.
 type (
-	// DeltaVsKRow is one point of the Fig. 7 sweep.
-	DeltaVsKRow = eval.DeltaVsKRow
-	// DeltaVsKOptions configures the Fig. 7 sweep.
-	DeltaVsKOptions = eval.DeltaVsKOptions
 	// DeltaVsTimeRow is one point of the Fig. 10 series.
 	DeltaVsTimeRow = eval.DeltaVsTimeRow
 	// CWDRow is one side of the Fig. 3 comparison.
@@ -245,14 +241,6 @@ func NewRuntime(dyn DynField, positions []Vec2, opts RuntimeOptions) (*Runtime, 
 // DefaultRuntimeOptions mirrors DefaultWorldOptions with a lossless radio.
 func DefaultRuntimeOptions() RuntimeOptions { return dist.DefaultOptions() }
 
-// DeltaVsK regenerates the Fig. 7 data series.
-func DeltaVsK(f Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
-	return eval.DeltaVsK(f, ks, opts)
-}
-
-// DefaultDeltaVsKOptions returns the paper's Fig. 7 sweep settings.
-func DefaultDeltaVsKOptions() DeltaVsKOptions { return eval.DefaultDeltaVsKOptions() }
-
 // DeltaVsTime regenerates the Fig. 10 data series from a world.
 func DeltaVsTime(w *World, slots, deltaN int) ([]DeltaVsTimeRow, error) {
 	return eval.DeltaVsTime(w, slots, deltaN)
@@ -317,9 +305,9 @@ func AnalyzeRobustness(positions []Vec2, rc float64) Robustness {
 }
 
 // NetworkVsK runs the collection-cost and robustness experiment over FRA
-// placements for each k.
-func NetworkVsK(f Field, ks []int, opts DeltaVsKOptions) ([]NetworkRow, error) {
-	return eval.NetworkVsK(f, ks, opts)
+// placements for each k at radius rc.
+func NetworkVsK(f Field, ks []int, rc float64, gridN, deltaN int) ([]NetworkRow, error) {
+	return eval.NetworkVsK(f, ks, rc, gridN, deltaN)
 }
 
 // CompareMobile runs the distributed CMA against the centralized
@@ -344,7 +332,7 @@ func FaultProfile(rate float64, slots int, seed int64) FaultConfig {
 // DegradationSweep measures δ and connectivity uptime versus failure rate
 // under injected faults with collection-tree repair (DESIGN.md §7).
 func DegradationSweep(dyn DynField, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
-	return eval.DegradationSweep(dyn, k, slots, deltaN, rates, seed)
+	return eval.DegradationSweep(dyn, k, slots, deltaN, rates, seed, "")
 }
 
 // NewTerrain generates a deterministic fractal terrain over region.
